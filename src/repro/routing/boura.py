@@ -74,13 +74,8 @@ class BouraFaultTolerant(BouraAdaptive):
         return self._unsafe
 
     def candidate_tiers(self, msg: Message, node: int) -> list[Tier]:
-        mesh = self.mesh
-        faulty = self.faults.faulty_mask
         unsafe = self._unsafe
-        mdirs = mesh.minimal_directions(node, msg.dst)
-        neighbors = mesh.neighbor_table(node)
-
-        free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+        mdirs, free_dirs = self._directions(node, msg.dst)
         if not free_dirs or not self._may_exit_ring(msg, node):
             return [self._ring_tier(msg, node, mdirs)]
         if msg.ring is not None:
@@ -89,6 +84,7 @@ class BouraFaultTolerant(BouraAdaptive):
         # when that node is the destination, and the preference is waived
         # entirely for messages destined inside an unsafe pocket.
         if not unsafe[msg.dst]:
+            neighbors = self.mesh.neighbor_table(node)
             safe_dirs = tuple(
                 d
                 for d in free_dirs

@@ -38,11 +38,7 @@ class DuatoXY(RoutingAlgorithm):
         # (found by repro.verify).  So the escape layer is the *fortified*
         # e-cube: strict XY while the XY hop is alive, the B-C fault ring
         # when it is not.
-        mesh = self.mesh
-        faulty = self.faults.faulty_mask
-        mdirs = mesh.minimal_directions(node, msg.dst)
-        neighbors = mesh.neighbor_table(node)
-        free_dirs = tuple(d for d in mdirs if not faulty[neighbors[d]])
+        mdirs, free_dirs = self._directions(node, msg.dst)
         if not free_dirs or not self._may_exit_ring(msg, node):
             return [self._ring_tier(msg, node, mdirs)]
         if msg.ring is not None:

@@ -58,5 +58,5 @@ class FullyAdaptive(MinimalAdaptive):
         return tiers
 
     def _account(self, msg: Message, node: int, direction: int, vc: int) -> None:
-        if direction not in self.mesh.minimal_directions(node, msg.dst):
+        if direction not in self._directions(node, msg.dst)[0]:
             msg.misroutes += 1

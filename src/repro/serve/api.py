@@ -120,6 +120,14 @@ def _parse_reliability_params(params: dict) -> dict:
             "width/height/trials/seed/workers must be integers, "
             "failure_rate a number"
         ) from None
+    # Range checks here, so out-of-range input is a 400 and not a
+    # ValueError escaping from the estimator as a 500.
+    if kwargs["width"] < 2 or kwargs.get("height", 2) < 2:
+        raise _BadRequest("width and height must be at least 2")
+    if not 0.0 <= kwargs["failure_rate"] <= 1.0:  # also rejects NaN
+        raise _BadRequest("failure_rate must lie in [0, 1]")
+    if kwargs["trials"] < 1:
+        raise _BadRequest("trials must be positive")
     return kwargs
 
 

@@ -187,6 +187,22 @@ class TestReproducibility:
         r2 = Simulation(SimConfig(seed=2, **base), make_algorithm("nbc")).run()
         assert (r1.delivered, r1.latency_sum) != (r2.delivered, r2.latency_sum)
 
+    def test_list_shuffle_matches_permutation(self):
+        """The engine orders bidders with ``Generator.shuffle(list)``;
+        it must make the same draws, in the same order, as indexing by
+        ``Generator.permutation(n)`` (the service order every pinned
+        result was recorded with)."""
+        import numpy as np
+
+        a = np.random.default_rng(2007)
+        b = np.random.default_rng(2007)
+        for n in (2, 3, 17, 312, 901):
+            items = [object() for _ in range(n)]
+            expected = [items[i] for i in a.permutation(n).tolist()]
+            b.shuffle(items)
+            assert items == expected
+        assert a.integers(1 << 62) == b.integers(1 << 62)
+
 
 class TestMeshMismatch:
     def test_fault_pattern_mesh_must_match(self):

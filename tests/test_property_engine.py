@@ -88,3 +88,49 @@ def test_burst_always_fully_drains(seed, burst, length):
     assert sim.total_delivered == burst
     assert sim.flits_in_network() == 0
     assert sim.messages_pending() == 0
+
+
+step_configs = st.fixed_dictionaries(
+    {
+        "algorithm": st.sampled_from(ALGORITHM_NAMES),
+        "width": st.integers(4, 6),
+        "height": st.integers(4, 6),
+        "message_length": st.sampled_from([1, 3, 8]),
+        "buffer_depth": st.sampled_from([1, 2]),
+        "injection_rate": st.sampled_from([0.02, 0.06, 0.15]),
+        "seed": st.integers(0, 999),
+        "n_faults": st.sampled_from([0, 2, 4]),
+        "injection_vcs": st.sampled_from([1, 2]),
+        "on_deadlock": st.sampled_from(["drain", "count"]),
+    }
+)
+
+
+@given(params=step_configs)
+@settings(max_examples=12, deadline=None)
+def test_invariants_hold_after_every_cycle(params):
+    """Credit, ownership and busy-set invariants and message conservation
+    hold after *every* cycle, not just at the end of a run — including
+    across watchdog drains (short timeout) and hop-cap drains."""
+    mesh = Mesh2D(params["width"], params["height"])
+    n_faults = params.pop("n_faults")
+    algorithm = params.pop("algorithm")
+    faults = (
+        generate_block_fault_pattern(mesh, n_faults, random.Random(params["seed"]))
+        if n_faults
+        else FaultPattern.fault_free(mesh)
+    )
+    cfg = SimConfig(
+        vcs_per_channel=24,
+        cycles=150,
+        warmup=20,
+        deadlock_timeout=30,
+        max_hops_factor=2,
+        **params,
+    )
+    sim = Simulation(cfg, make_algorithm(algorithm), faults=faults)
+    for _ in range(cfg.cycles):
+        sim.step()
+        sim.check_invariants()
+        assert conservation_balance(sim) == 0, f"cycle {sim.cycle}"
+    assert sim.cycle == cfg.cycles

@@ -108,6 +108,21 @@ class TestEndpoints:
         assert payload["p_connected"] <= payload["ci_high"] <= 1.0
         assert payload["engine_version"] == ENGINE_VERSION
 
+    @pytest.mark.parametrize("body, message", [
+        ({"width": 6, "failure_rate": 2.0}, "failure_rate"),
+        ({"width": 6, "failure_rate": -0.1}, "failure_rate"),
+        ({"width": 6, "failure_rate": "nan"}, "failure_rate"),
+        ({"width": 0, "failure_rate": 0.1}, "width"),
+        ({"width": 1, "failure_rate": 0.1}, "width"),
+        ({"width": 6, "height": -3, "failure_rate": 0.1}, "height"),
+        ({"width": 6, "failure_rate": 0.1, "trials": 0}, "trials"),
+        ({"width": 6, "failure_rate": 0.1, "trials": -5}, "trials"),
+    ])
+    def test_reliability_out_of_range_is_400(self, server, body, message):
+        status, payload = _request(server, "/reliability", body=body)
+        assert status == 400
+        assert message in payload["error"]
+
     def test_reliability_rejects_get(self, server):
         status, payload = _request(
             server, "/reliability?width=6&failure_rate=0.1"
