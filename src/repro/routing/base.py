@@ -65,9 +65,12 @@ class RoutingAlgorithm:
         self.budget: VcBudget | None = None
         self._dirs_memo: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._dirs_shared: dict[tuple, tuple] = {}
-        #: Number of times the hop-class schedule had to saturate at the
-        #: top class (only possible after ring detours/misroutes pushed a
-        #: message past its worst-case class budget).
+        #: Number of :meth:`_capped` calls that saturated at the top
+        #: class (only possible after ring detours/misroutes pushed a
+        #: message past its worst-case class budget).  ``_capped`` runs
+        #: on every routing attempt, so a header blocked at a capping
+        #: node counts again on each cycle it waits: this counts capped
+        #: routing attempts (blocked cycles included), not capped hops.
         self.class_caps = 0
 
     # ------------------------------------------------------------------
